@@ -38,7 +38,7 @@ def main():
 
     replica = result.replicas[0]
     k = replica.in_degrees()
-    print(f"replica 0: {len(replica.nodes)} papers, {len(replica.edges)} edges")
+    print(f"replica 0: {len(replica.paper_ids)} papers, {len(replica.edges)} edges")
     print(f"in-degree: mean {k.mean():.1f}, max {k.max()} "
           "(a heavy tail is the preferential-attachment signature)\n")
 
@@ -57,7 +57,7 @@ def main():
     # The run is reproducible: same seed, same network, whatever the
     # thread count.
     again = growth.simulate(inputs, params, threads=1)
-    assert again.replicas[0].edges == replica.edges
+    assert np.array_equal(again.replicas[0].edges, replica.edges)
     print("\nre-run with threads=1 produced the identical network.")
 
 

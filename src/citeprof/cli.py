@@ -38,6 +38,9 @@ EXIT_INTERNAL = 4
 
 ANALYSES = ("buckets", "venue", "selfcite", "stability", "kshell", "peakstats", "belts", "degrees")
 
+# Rows converted to Python objects at a time when writing simulation output.
+WRITE_CHUNK = 4096
+
 
 class UsageError(Exception):
     pass
@@ -108,7 +111,10 @@ def _load_json_config(path: str | None, overrides: Sequence[str]) -> dict:
         p = Path(path)
         if not p.exists():
             raise UsageError(f"config not found: {path}")
-        config = json.loads(p.read_text())
+        try:
+            config = json.loads(p.read_text())
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"config {path}: malformed JSON: {exc}") from exc
     return _apply_overrides(config, overrides)
 
 
@@ -178,14 +184,23 @@ def cmd_classify(args) -> int:
 
 def _parse_dist(raw, path: str) -> growth.EmpiricalDist:
     if isinstance(raw, dict) and "geometric" in raw:
-        return growth.geometric_ref_dist(
-            mean=raw["geometric"].get("mean", 8),
-            max_value=raw["geometric"].get("max_value", 100),
-        )
+        spec = raw["geometric"]
+        try:
+            return growth.geometric_ref_dist(
+                mean=_config_float(spec.get("mean", 8), f"{path}.geometric.mean"),
+                max_value=_config_int(
+                    spec.get("max_value", 100), f"{path}.geometric.max_value"
+                ),
+            )
+        except ValueError as exc:
+            raise growth.GrowthConfigError(f"{path}.geometric", str(exc)) from exc
     if isinstance(raw, dict):
-        pairs = sorted((int(k), float(v)) for k, v in raw.items())
+        pairs = sorted(
+            (_config_int(k, f"{path}.{k}"), _config_float(v, f"{path}.{k}"))
+            for k, v in raw.items()
+        )
     elif isinstance(raw, list):
-        pairs = [(v, float(p)) for v, p in raw]
+        pairs = list(_config_pairs(raw, path))
     else:
         raise growth.GrowthConfigError(path, f"unsupported distribution spec: {raw!r}")
     try:
@@ -196,15 +211,51 @@ def _parse_dist(raw, path: str) -> growth.EmpiricalDist:
         raise growth.GrowthConfigError(path, str(exc)) from exc
 
 
+def _config_int(value, path: str) -> int:
+    """``value`` as an int; anything else with no integer value is a config error."""
+    try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise growth.GrowthConfigError(path, f"expected an integer, got {value!r}") from None
+
+
+def _config_float(value, path: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise growth.GrowthConfigError(path, f"expected a number, got {value!r}") from None
+
+
+def _config_pairs(raw, path: str):
+    """(value, probability) from each [value, probability] entry of a list."""
+    if not isinstance(raw, list):
+        raise growth.GrowthConfigError(path, "expected a list of [value, probability] pairs")
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise growth.GrowthConfigError(
+                f"{path}[{i}]", f"expected [value, probability], got {entry!r}"
+            )
+        yield entry[0], _config_float(entry[1], f"{path}[{i}]")
+
+
+def _config_category(label, path: str) -> ProfileCategory:
+    try:
+        return category_from_label(label)
+    except ValueError as exc:
+        raise growth.GrowthConfigError(path, str(exc)) from exc
+
+
 def _parse_peak_dist(raw: dict) -> dict:
     out = {}
     for name, spec in raw.items():
-        cat = category_from_label(name)
         path = f"peak_time_dist.{name}"
+        cat = _config_category(name, path)
         values, probs = [], []
-        for value, prob in spec:
+        for value, prob in _config_pairs(spec, path):
             values.append(tuple(value) if isinstance(value, list) else value)
-            probs.append(float(prob))
+            probs.append(prob)
         try:
             out[cat] = growth.EmpiricalDist(values=tuple(values), probs=tuple(probs))
         except ValueError as exc:
@@ -218,20 +269,31 @@ def load_growth_config(
     """Build validated growth inputs/params from the JSON config schema."""
     if "pub_dist" not in config:
         raise growth.GrowthConfigError("pub_dist", "missing")
-    pub_dist = {int(y): int(n) for y, n in config["pub_dist"].items()}
+    if not isinstance(config["pub_dist"], dict):
+        raise growth.GrowthConfigError("pub_dist", "expected an object of year: count")
+    pub_dist = {
+        _config_int(y, f"pub_dist.{y}"): _config_int(n, f"pub_dist.{y}")
+        for y, n in config["pub_dist"].items()
+    }
     if "ref_dist" not in config:
         raise growth.GrowthConfigError("ref_dist", "missing")
     ref_dist = _parse_dist(config["ref_dist"], "ref_dist")
 
     rho = dict(growth.DEFAULT_RHO)
     for name, value in (config.get("rho") or {}).items():
-        rho[category_from_label(name)] = float(value)
+        rho[_config_category(name, f"rho.{name}")] = _config_float(value, f"rho.{name}")
     tau = dict(growth.DEFAULT_TAU)
     for name, value in (config.get("tau") or {}).items():
-        tau[category_from_label(name)] = int(value)
-    seed = seed_override if seed_override is not None else int(config.get("seed", 0))
+        tau[_config_category(name, f"tau.{name}")] = _config_int(value, f"tau.{name}")
+    if seed_override is not None:
+        seed = seed_override
+    else:
+        seed = _config_int(config.get("seed", 0), "seed")
     params = growth.GrowthParams(
-        rho=rho, tau=tau, replicas=int(config.get("replicas", 100)), rng_seed=seed
+        rho=rho,
+        tau=tau,
+        replicas=_config_int(config.get("replicas", 100), "replicas"),
+        rng_seed=seed,
     )
 
     peak_dist = _parse_peak_dist(config.get("peak_time_dist") or {})
@@ -241,25 +303,39 @@ def load_growth_config(
         raise growth.GrowthConfigError("bootstrap", "missing")
     if "synthetic" in raw_boot:
         spec = raw_boot["synthetic"]
+        path = "bootstrap.synthetic"
         fractions = {
-            category_from_label(name): float(v)
+            _config_category(name, f"{path}.fractions.{name}"): _config_float(
+                v, f"{path}.fractions.{name}"
+            )
             for name, v in spec.get("fractions", {}).items()
         } or growth.PAPER_CATEGORY_FRACTIONS
+        default_start = min(pub_dist) - 6 if pub_dist else 1970
         bootstrap = growth.synthetic_bootstrap(
-            n=int(spec.get("n", 600)),
+            n=_config_int(spec.get("n", 600), f"{path}.n"),
             fractions=fractions,
-            start_year=int(spec.get("start_year", min(pub_dist) - 6 if pub_dist else 1970)),
-            n_years=int(spec.get("n_years", 6)),
-            refs_mean=int(spec.get("refs_mean", 3)),
-            rng=np.random.default_rng(int(spec.get("seed", seed))),
+            start_year=_config_int(spec.get("start_year", default_start), f"{path}.start_year"),
+            n_years=_config_int(spec.get("n_years", 6), f"{path}.n_years"),
+            refs_mean=_config_int(spec.get("refs_mean", 3), f"{path}.refs_mean"),
+            rng=np.random.default_rng(_config_int(spec.get("seed", seed), f"{path}.seed")),
         )
     elif "records" in raw_boot:
         nodes = []
         edges = []
         ids = set()
-        for rec in raw_boot["records"]:
+        for i, rec in enumerate(raw_boot["records"]):
+            path = f"bootstrap.records[{i}]"
+            if not isinstance(rec, dict):
+                raise growth.GrowthConfigError(path, "expected an object")
+            for key in ("id", "year", "category"):
+                if key not in rec:
+                    raise growth.GrowthConfigError(f"{path}.{key}", "missing")
             nodes.append(
-                (rec["id"], int(rec["year"]), category_from_label(rec["category"]))
+                (
+                    rec["id"],
+                    _config_int(rec["year"], f"{path}.year"),
+                    _config_category(rec["category"], f"{path}.category"),
+                )
             )
             ids.add(rec["id"])
         for rec in raw_boot["records"]:
@@ -288,6 +364,19 @@ def _simulation_series_by_category(result: growth.SimulationResult):
     return pooled
 
 
+def _chunked_rows(*columns):
+    """Rows of equal-length columns (lists or arrays) as Python values.
+
+    Arrays are converted WRITE_CHUNK rows at a time, so a replica's edges
+    never exist as Python objects all at once.
+    """
+    for start in range(0, len(columns[0]), WRITE_CHUNK):
+        chunk = slice(start, start + WRITE_CHUNK)
+        yield from zip(
+            *(c[chunk].tolist() if isinstance(c, np.ndarray) else c[chunk] for c in columns)
+        )
+
+
 def cmd_simulate(args) -> int:
     config = _load_json_config(args.config, args.set or [])
     inputs, params = load_growth_config(config, seed_override=args.seed)
@@ -295,17 +384,20 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    labels = [c.value for c in CATEGORIES]
     with open(out / "nodes.jsonl", "w") as fh:
         for ri, replica in enumerate(result.replicas):
-            for node in replica.nodes:
+            for pid, year, code, k in _chunked_rows(
+                replica.paper_ids, replica.birth, replica.category, replica.in_degrees()
+            ):
                 fh.write(
                     json.dumps(
                         {
                             "replica": ri,
-                            "id": node.paper_id,
-                            "year": node.birth_year,
-                            "category": node.category.value,
-                            "in_degree": node.k,
+                            "id": pid,
+                            "year": year,
+                            "category": labels[code],
+                            "in_degree": k,
                         },
                         sort_keys=True,
                     )
@@ -313,15 +405,11 @@ def cmd_simulate(args) -> int:
                 )
     with open(out / "edges.jsonl", "w") as fh:
         for ri, replica in enumerate(result.replicas):
-            for citing, cited, year in replica.edges:
+            ids = replica.paper_ids
+            for citing, cited, year in _chunked_rows(*replica.edges.T):
                 fh.write(
                     json.dumps(
-                        {
-                            "replica": ri,
-                            "citing": replica.nodes[citing].paper_id,
-                            "cited": replica.nodes[cited].paper_id,
-                            "year": year,
-                        },
+                        {"replica": ri, "citing": ids[citing], "cited": ids[cited], "year": year},
                         sort_keys=True,
                     )
                     + "\n"
@@ -364,15 +452,17 @@ def cmd_analyze(args) -> int:
         if name not in ANALYSES:
             raise UsageError(f"unknown analysis: {name}")
     records, _ = _load_records(args.input, args.format)
+    # Data needs are checked before any output is written.
+    if "selfcite" in which and not any(r.author_ids for r in records):
+        raise MissingDataError("authors")
+    if args.labels and not Path(args.labels).exists():
+        raise UsageError(f"labels not found: {args.labels}")
     graph = build_graph(records)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     if args.labels:
-        labels_path = Path(args.labels)
-        if not labels_path.exists():
-            raise UsageError(f"labels not found: {args.labels}")
-        labels = _read_labels_csv(labels_path)
+        labels = _read_labels_csv(Path(args.labels))
         corpus = None
     else:
         corpus = classify_corpus(graph, cfg)
@@ -413,8 +503,6 @@ def cmd_analyze(args) -> int:
             )
         emit("venue.csv", rows)
     if "selfcite" in which:
-        if not any(r.author_ids for r in records):
-            raise MissingDataError("authors")
         matrices, timing = netanalysis.self_citation_confusion(graph, cfg)
         rows = [["threshold", "from", "to", "fraction"]]
         for threshold in sorted(matrices):

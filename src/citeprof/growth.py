@@ -11,7 +11,14 @@ controlled by peak times sampled at birth.
 
 All selections within a simulation year use the state as of the end of
 the previous year, so the ordering of papers inserted in the same year
-is irrelevant.
+is irrelevant. It also makes the two stages one categorical draw over
+all papers with the same distribution: paper i in bucket b is chosen
+with probability ``w_b / W * pi_i / sum(pi_b)``, where ``w_b`` is the
+bucket's citations (uniform over non-empty buckets when no paper is
+cited yet) and a bucket whose attractiveness sums to 0 is drawn from
+uniformly. A year is therefore simulated with one batched draw over the
+papers' weights, held with the rest of the state as arrays indexed by
+paper.
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -57,6 +64,8 @@ PEAKED_CATEGORIES = (
     ProfileCategory.PEAK_MUL,
 )
 
+CATEGORY_CODES: dict[ProfileCategory, int] = {c: i for i, c in enumerate(CATEGORIES)}
+
 DUPLICATE_REDRAW_FACTOR = 50
 
 
@@ -84,9 +93,12 @@ class EmpiricalDist:
         if not math.isclose(total, 1.0, rel_tol=1e-9, abs_tol=1e-9):
             raise ValueError(f"probabilities sum to {total}, expected 1")
 
-    def sample(self, rng: np.random.Generator):
-        i = rng.choice(len(self.values), p=np.asarray(self.probs) / sum(self.probs))
-        return self.values[int(i)]
+    def sample(self, rng: np.random.Generator, size: int | None = None):
+        """One value, or an array of ``size`` values (one row per tuple value)."""
+        i = rng.choice(len(self.values), size=size, p=np.asarray(self.probs) / sum(self.probs))
+        if size is None:
+            return self.values[int(i)]
+        return np.asarray(self.values)[i]
 
     @classmethod
     def point_mass(cls, value) -> "EmpiricalDist":
@@ -131,26 +143,6 @@ class GrowthParams:
         for cat in CATEGORIES:
             if cat != ProfileCategory.OTH and cat not in self.tau:
                 raise GrowthConfigError(f"tau.{cat.value}", "missing")
-
-
-@dataclass
-class NodeState:
-    paper_id: str
-    birth_year: int
-    category: ProfileCategory
-    k: int = 0
-    peak_times: object = None  # None | T | (T1, T2)
-
-
-@dataclass(frozen=True)
-class CategoryState:
-    category: ProfileCategory
-    size: int
-    total_citations: float
-
-    @property
-    def mu(self) -> float:
-        return self.total_citations / self.size if self.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -221,50 +213,71 @@ def sample_peak_times(
     category: ProfileCategory,
     peak_time_dist: Mapping[ProfileCategory, EmpiricalDist] | None,
     rng: np.random.Generator,
+    size: int | None = None,
 ):
-    """Draw birth-time peak offsets: none, T, or (T1, T2) by category."""
+    """Draw birth-time peak offsets: none, T, or (T1, T2) by category.
+
+    With ``size``, a draw for that many papers at once: an array of
+    ``size`` values (rows of (T1, T2) for PeakMul), or the category's
+    default when no distribution is supplied.
+    """
     if category not in PEAKED_CATEGORIES:
         return None
     dist = (peak_time_dist or {}).get(category)
     if dist is None:
         return DEFAULT_PEAK_TIMES[category]
-    value = dist.sample(rng)
-    return value
+    return dist.sample(rng, size=size)
+
+
+def _peak_times(
+    codes: np.ndarray,
+    peak_time_dist: Mapping[ProfileCategory, EmpiricalDist],
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(T1, T2) per paper, one draw per peaked category.
+
+    Single-peak categories have T1 == T2 == T; the others have 0.
+    """
+    t1 = np.zeros(len(codes))
+    t2 = np.zeros(len(codes))
+    for cat in PEAKED_CATEGORIES:
+        idx = np.flatnonzero(codes == CATEGORY_CODES[cat])
+        if len(idx):
+            values = sample_peak_times(cat, peak_time_dist, rng, size=len(idx))
+            width = 2 if cat == ProfileCategory.PEAK_MUL else 1
+            rows = np.asarray(values, dtype=float).reshape(-1, width)
+            t1[idx] = rows[:, 0]
+            t2[idx] = rows[:, -1]
+    return t1, t2
 
 
 def attractiveness(
-    node: NodeState,
+    category: ProfileCategory,
+    k: float,
+    mu: float,
     t_elapsed: float,
-    cat_state: CategoryState,
     params: GrowthParams,
+    peak_times=None,
 ) -> float:
-    """Citation attractiveness pi of one paper after t_elapsed years."""
+    """Citation attractiveness pi of one paper after t_elapsed years.
+
+    ``mu`` is the mean in-degree of the paper's bucket and ``peak_times``
+    its T or (T1, T2). This is ``_bucket_attractiveness``, the kernel the
+    simulator runs, applied to one paper.
+    """
     if t_elapsed < 0:
         raise ValueError("t_elapsed must be >= 0")
-    k = node.k
-    mu = cat_state.mu
-    cat = node.category
-    if cat == ProfileCategory.OTH:
-        return 1.0
-    if cat == ProfileCategory.MON_DEC:
-        return (k + mu) / math.exp(params.rho[cat] * t_elapsed)
-    if cat == ProfileCategory.MON_INCR:
-        return k + params.rho[cat] * mu + t_elapsed
-    tau = params.tau[cat]
-    if cat in (ProfileCategory.PEAK_INIT, ProfileCategory.PEAK_LATE):
-        T = node.peak_times
-        if t_elapsed <= T + tau:
-            return k + mu
-        return (k + mu) / (params.rho[cat] * t_elapsed)
-    # PeakMul: plateau, decay, second plateau, decay.
-    t1, t2 = node.peak_times
-    if t_elapsed <= t1 + tau:
-        return k + mu
-    if t_elapsed <= (t1 + t2) / 2 + tau:
-        return (k + mu) / t_elapsed
-    if t_elapsed <= t2 + tau:
-        return k + mu
-    return (k + mu) / t_elapsed
+    t1, t2 = np.broadcast_to(np.asarray(0.0 if peak_times is None else peak_times, float), 2)
+    pi = _bucket_attractiveness(
+        category,
+        np.array([k], dtype=float),
+        np.array([t_elapsed], dtype=float),
+        np.array([t1]),
+        np.array([t2]),
+        mu,
+        params,
+    )
+    return float(pi[0])
 
 
 def _bucket_attractiveness(
@@ -276,12 +289,18 @@ def _bucket_attractiveness(
     mu: float,
     params: GrowthParams,
 ) -> np.ndarray:
-    """Vectorized attractiveness for one bucket (same formulas as above)."""
+    """Attractiveness of every paper of one bucket.
+
+    Oth is constant; MonDec decays exponentially; MonIncr grows linearly;
+    PeakInit and PeakLate hold a plateau until T + tau, then decay as
+    1 / (rho t); PeakMul holds plateaus until T1 + tau and from
+    (T1 + T2) / 2 + tau to T2 + tau, decaying as 1 / t in between and after.
+    """
     if cat == ProfileCategory.OTH:
         return np.ones_like(k, dtype=float)
     base = k + mu
     if cat == ProfileCategory.MON_DEC:
-        return base / np.exp(params.rho[cat] * t)
+        return base * np.exp(-params.rho[cat] * t)
     if cat == ProfileCategory.MON_INCR:
         return k + params.rho[cat] * mu + t
     tau = params.tau[cat]
@@ -294,97 +313,97 @@ def _bucket_attractiveness(
     return np.where(plateau, base, decayed)
 
 
-def select_category_for_new_paper(
-    states: Sequence[CategoryState], rng: np.random.Generator
-) -> ProfileCategory:
-    """Bucket for a new paper, drawn proportionally to bucket sizes."""
-    weights = np.array([s.size for s in states], dtype=float)
-    if weights.sum() <= 0:
-        raise ValueError("all buckets are empty")
-    return states[_weighted_index(weights, rng)].category
-
-
-def select_target_bucket(
-    states: Sequence[CategoryState], rng: np.random.Generator
-) -> ProfileCategory:
-    """Bucket for a citation target, drawn by accumulated inbound citations.
-
-    Falls back to a uniform draw over non-empty buckets when no bucket
-    has received any citation yet.
-    """
-    nonempty = [s for s in states if s.size > 0]
-    if not nonempty:
-        raise ValueError("all buckets are empty")
-    weights = np.array([s.total_citations for s in nonempty], dtype=float)
-    if weights.sum() <= 0:
-        weights = np.ones(len(nonempty))
-    return nonempty[_weighted_index(weights, rng)].category
-
-
-def select_target_paper(
-    members: Sequence[NodeState],
-    year: int,
-    cat_state: CategoryState,
+def _selection_weights(
+    k: np.ndarray,
+    t: np.ndarray,
+    codes: np.ndarray,
+    t1: np.ndarray,
+    t2: np.ndarray,
     params: GrowthParams,
-    rng: np.random.Generator,
-) -> str:
-    """Citation target inside a bucket, drawn by attractiveness."""
-    if not members:
-        raise ValueError("bucket is empty")
-    weights = np.array(
-        [attractiveness(m, year - m.birth_year, cat_state, params) for m in members]
-    )
-    if weights.sum() <= 0:
-        weights = np.ones(len(members))
-    return members[_weighted_index(weights, rng)].paper_id
+) -> np.ndarray:
+    """Probability of each paper being the target of one reference.
+
+    The two-stage draw as one distribution: bucket b with probability
+    w_b / W by accumulated citations (uniform over non-empty buckets when
+    W is 0), then paper i with pi_i / sum(pi_b) (uniform inside the
+    bucket when its attractiveness sums to 0).
+    """
+    k = k.astype(float)
+    members = [np.flatnonzero(codes == code) for code in range(len(CATEGORIES))]
+    bucket = np.array([k[m].sum() for m in members])
+    if bucket.sum() <= 0:
+        bucket = np.array([float(len(m) > 0) for m in members])
+    bucket /= bucket.sum()
+    weights = np.zeros(len(k))
+    for cat, m, share in zip(CATEGORIES, members, bucket):
+        if share <= 0:
+            continue
+        pi = _bucket_attractiveness(cat, k[m], t[m], t1[m], t2[m], float(k[m].mean()), params)
+        total = pi.sum()
+        weights[m] = share * pi / total if total > 0 else share / len(m)
+    return weights
 
 
-def _weighted_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    cum = np.cumsum(weights)
-    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+def _draw_references(
+    out_degrees: np.ndarray, weights: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct targets for each citing paper: (citing, cited, draws per citer).
+
+    Targets are i.i.d. draws with probability proportional to ``weights``;
+    a paper of weight 0 is never drawn. A draw that repeats a target of
+    the same citer is drawn again, but a citer stops after
+    DUPLICATE_REDRAW_FACTOR * max(d, 1) draws, so one with fewer than d
+    reachable papers keeps fewer than d. Each round draws only each
+    citer's missing references, so draws are counted as in a
+    one-at-a-time loop. Pairs come out sorted by (citing, cited).
+    """
+    cdf = np.cumsum(weights, dtype=float)
+    cdf /= cdf[-1]  # exactly 1 at the end, so every uniform draw in [0, 1) lands
+    n_papers = len(cdf)
+    budget = DUPLICATE_REDRAW_FACTOR * np.maximum(out_degrees, 1)
+    draws = np.zeros_like(out_degrees)
+    keys = np.empty(0, dtype=np.int64)  # citing * n_papers + cited
+    while True:
+        found = np.bincount(keys // n_papers, minlength=len(out_degrees))
+        batch = np.minimum(out_degrees - found, budget - draws)
+        if not batch.any():
+            break
+        citing = np.repeat(np.arange(len(out_degrees), dtype=np.int64), batch)
+        cited = cdf.searchsorted(rng.random(len(citing)), side="right")
+        keys = np.union1d(keys, citing * n_papers + cited)
+        draws += batch
+    return keys // n_papers, keys % n_papers, draws
 
 
 class SimulationState:
-    """Mutable per-replica simulation state."""
+    """Mutable per-replica simulation state: one array entry per paper.
+
+    ``k`` is the in-degree, ``birth`` the publication year, ``cat`` the
+    index into CATEGORIES and ``t1``/``t2`` the peak times (see
+    ``_peak_times``); ``paper_ids[i]`` names paper i. Edges are kept as
+    (citing, cited, year) blocks, one per simulated year.
+    """
 
     def __init__(self, inputs: GrowthInputs, params: GrowthParams, rng: np.random.Generator):
-        self.nodes: list[NodeState] = []
-        self.buckets: dict[ProfileCategory, list[int]] = {c: [] for c in CATEGORIES}
-        self.edges: list[tuple[int, int, int]] = []  # (citing idx, cited idx, year)
-        self._index: dict[str, int] = {}
-        self.sampled_out_degrees: list[int] = []
-        self.year = inputs.bootstrap.max_year
-
-        for pid, year, cat in inputs.bootstrap.nodes:
-            self._add_node(
-                NodeState(
-                    paper_id=pid,
-                    birth_year=year,
-                    category=cat,
-                    peak_times=sample_peak_times(cat, inputs.peak_time_dist, rng),
-                )
-            )
-        for u, v in inputs.bootstrap.edges:
-            ui, vi = self._index[u], self._index[v]
-            self.nodes[vi].k += 1
-            self.edges.append((ui, vi, self.nodes[ui].birth_year))
-
-    def _add_node(self, node: NodeState) -> int:
-        idx = len(self.nodes)
-        self.nodes.append(node)
-        self.buckets[node.category].append(idx)
-        self._index[node.paper_id] = idx
-        return idx
-
-    def category_states(self) -> list[CategoryState]:
-        return [
-            CategoryState(
-                category=cat,
-                size=len(idxs),
-                total_citations=float(sum(self.nodes[i].k for i in idxs)),
-            )
-            for cat, idxs in self.buckets.items()
+        boot = inputs.bootstrap
+        self.paper_ids: list[str] = [pid for pid, _, _ in boot.nodes]
+        self.birth = np.array([year for _, year, _ in boot.nodes], dtype=np.int64)
+        self.cat = np.array([CATEGORY_CODES[c] for _, _, c in boot.nodes], dtype=np.int8)
+        self.t1, self.t2 = _peak_times(self.cat, inputs.peak_time_dist, rng)
+        index = {pid: i for i, pid in enumerate(self.paper_ids)}
+        citing = np.array([index[u] for u, _ in boot.edges], dtype=np.int64)
+        cited = np.array([index[v] for _, v in boot.edges], dtype=np.int64)
+        self.k = np.bincount(cited, minlength=len(self.paper_ids))
+        self.edge_blocks: list[np.ndarray] = [
+            np.column_stack((citing, cited, self.birth[citing]))
         ]
+        self.sampled_out_degrees: list[int] = []
+        self.year = boot.max_year
+
+    @property
+    def edges(self) -> np.ndarray:
+        """(E, 3) int array of (citing index, cited index, citing year)."""
+        return np.concatenate(self.edge_blocks)
 
 
 def simulate_step(
@@ -401,159 +420,90 @@ def simulate_step(
         n_new = 0
     state.year = year
 
-    # Snapshot as of the end of year-1: member arrays and selection weights.
-    snap_members: dict[ProfileCategory, list[int]] = {
-        c: list(v) for c, v in state.buckets.items()
-    }
-    sizes = np.array([len(snap_members[c]) for c in CATEGORIES], dtype=float)
-    bucket_citations = np.zeros(len(CATEGORIES))
-    pi_cumsums: dict[ProfileCategory, np.ndarray] = {}
-    for ci, cat in enumerate(CATEGORIES):
-        idxs = snap_members[cat]
-        if not idxs:
-            continue
-        k = np.array([state.nodes[i].k for i in idxs], dtype=float)
-        bucket_citations[ci] = k.sum()
-        t = np.array([year - state.nodes[i].birth_year for i in idxs], dtype=float)
-        mu = float(k.mean())
-        if cat in (ProfileCategory.PEAK_INIT, ProfileCategory.PEAK_LATE):
-            t1 = np.array([state.nodes[i].peak_times for i in idxs], dtype=float)
-            t2 = t1
-        elif cat == ProfileCategory.PEAK_MUL:
-            t1 = np.array([state.nodes[i].peak_times[0] for i in idxs], dtype=float)
-            t2 = np.array([state.nodes[i].peak_times[1] for i in idxs], dtype=float)
-        else:
-            t1 = t2 = np.zeros_like(k)
-        pi = _bucket_attractiveness(cat, k, t, t1, t2, mu, params)
-        total = pi.sum()
-        if total <= 0:
-            pi = np.ones_like(pi)  # uniform fallback within the bucket
-        pi_cumsums[cat] = np.cumsum(pi)
+    weights = _selection_weights(
+        state.k, year - state.birth, state.cat, state.t1, state.t2, params
+    )
+    sizes = np.bincount(state.cat, minlength=len(CATEGORIES))
+    codes = rng.choice(len(CATEGORIES), size=n_new, p=sizes / sizes.sum()).astype(np.int8)
+    out_degrees = np.asarray(inputs.ref_dist.sample(rng, size=n_new), dtype=np.int64)
+    citing, cited, _ = _draw_references(out_degrees, weights, rng)
+    t1, t2 = _peak_times(codes, inputs.peak_time_dist, rng)
 
-    target_weights = bucket_citations.copy()
-    if target_weights.sum() <= 0:
-        target_weights = (sizes > 0).astype(float)
-    nonempty_mask = sizes > 0
-    target_weights[~nonempty_mask] = 0.0
-    size_cumsum = np.cumsum(sizes)
-    target_cumsum = np.cumsum(target_weights)
-
-    new_nodes: list[NodeState] = []
-    new_targets: list[list[int]] = []
-    for i in range(n_new):
-        cat = CATEGORIES[
-            int(np.searchsorted(size_cumsum, rng.random() * size_cumsum[-1], side="right"))
-        ]
-        out_degree = int(inputs.ref_dist.sample(rng))
-        self_targets: set[int] = set()
-        attempts = 0
-        max_attempts = DUPLICATE_REDRAW_FACTOR * max(out_degree, 1)
-        while len(self_targets) < out_degree and attempts < max_attempts:
-            attempts += 1
-            bcat = CATEGORIES[
-                int(
-                    np.searchsorted(
-                        target_cumsum, rng.random() * target_cumsum[-1], side="right"
-                    )
-                )
-            ]
-            cum = pi_cumsums.get(bcat)
-            if cum is None:
-                continue
-            member_pos = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-            target_idx = snap_members[bcat][member_pos]
-            if target_idx in self_targets:
-                continue
-            self_targets.add(target_idx)
-        node = NodeState(
-            paper_id=f"s{year}_{i:05d}",
-            birth_year=year,
-            category=cat,
-            peak_times=sample_peak_times(cat, inputs.peak_time_dist, rng),
-        )
-        new_nodes.append(node)
-        new_targets.append(sorted(self_targets))
-        state.sampled_out_degrees.append(out_degree)
-
-    # Commit: new nodes join their buckets; targets' in-degrees update.
-    for node, targets in zip(new_nodes, new_targets):
-        idx = state._add_node(node)
-        for target_idx in targets:
-            state.nodes[target_idx].k += 1
-            state.edges.append((idx, target_idx, year))
+    # Commit: new papers join the state; targets' in-degrees update.
+    first = len(state.paper_ids)
+    state.paper_ids.extend(f"s{year}_{i:05d}" for i in range(n_new))
+    state.k = state.k + np.bincount(cited, minlength=first)
+    state.k = np.concatenate((state.k, np.zeros(n_new, dtype=state.k.dtype)))
+    state.birth = np.concatenate((state.birth, np.full(n_new, year, dtype=np.int64)))
+    state.cat = np.concatenate((state.cat, codes))
+    state.t1 = np.concatenate((state.t1, t1))
+    state.t2 = np.concatenate((state.t2, t2))
+    state.edge_blocks.append(np.column_stack((first + citing, cited, np.full(len(cited), year))))
+    state.sampled_out_degrees.extend(out_degrees.tolist())
     return state
 
 
 @dataclass
 class ReplicaResult:
-    """One simulated network with generation-time labels.
+    """One simulated network with generation-time labels, indexed by paper.
 
-    ``nodes[:n_bootstrap]`` is the seed network; the rest are the papers
-    the model generated, all born after the bootstrap's last year.
+    Papers ``[:n_bootstrap]`` are the seed network; the rest are the
+    papers the model generated, all born after the bootstrap's last year.
     """
 
-    nodes: list[NodeState]
-    edges: list[tuple[int, int, int]]
+    paper_ids: list[str]
+    birth: np.ndarray  # publication year
+    category: np.ndarray  # index into CATEGORIES
+    edges: np.ndarray  # (E, 3): citing index, cited index, citing year
     first_year: int
     last_year: int
     sampled_out_degrees: list[int]
     n_bootstrap: int
 
-    @property
-    def labels(self) -> dict[str, ProfileCategory]:
-        return {n.paper_id: n.category for n in self.nodes}
-
     def in_degrees(self) -> np.ndarray:
-        k = np.zeros(len(self.nodes), dtype=int)
-        for _, cited, _ in self.edges:
-            k[cited] += 1
-        return k
+        return np.bincount(self.edges[:, 1], minlength=len(self.paper_ids))
 
-    def citation_series(self, max_age: int | None = None) -> dict[int, np.ndarray]:
-        """Per node index: citation counts by age (year offset from birth)."""
-        spans = {
-            i: (self.last_year - n.birth_year if max_age is None else max_age)
-            for i, n in enumerate(self.nodes)
-        }
-        series = {
-            i: np.zeros(min(spans[i], self.last_year - self.nodes[i].birth_year) + 1)
-            for i in range(len(self.nodes))
-        }
-        for citing, cited, year in self.edges:
-            age = year - self.nodes[cited].birth_year
-            if 0 <= age < len(series[cited]):
-                series[cited][age] += 1
-        return series
+    def citation_series(self, max_age: int | None = None) -> np.ndarray:
+        """Citation counts by age (year offset from birth): one row per paper.
+
+        Columns are ages 0..max_age (0..last_year - first_year when None).
+        Ages a paper has not reached by ``last_year`` read 0.
+        """
+        width = (self.last_year - self.first_year if max_age is None else max_age) + 1
+        cited = self.edges[:, 1]
+        age = self.edges[:, 2] - self.birth[cited]
+        seen = (age >= 0) & (age < width)
+        counts = np.bincount(
+            cited[seen] * width + age[seen], minlength=len(self.paper_ids) * width
+        )
+        return counts.reshape(len(self.paper_ids), width)
 
     def generated_profiles(
         self, max_age: int, min_history: int
     ) -> Iterator[tuple[ProfileCategory, np.ndarray]]:
         """(category, max-normalized counts by age) per model-generated paper.
 
-        Only papers with at least ``min_history`` observed years count.
-        Bootstrap papers are skipped: their early citations come from the
-        seed network, which has neither aging nor preferential attachment.
+        Only papers with at least ``min_history`` observed years count, and
+        only their observed ages up to ``max_age`` are given. Bootstrap
+        papers are skipped: their early citations come from the seed
+        network, which has neither aging nor preferential attachment.
         """
-        series = self.citation_series(max_age=max_age)
-        for i in range(self.n_bootstrap, len(self.nodes)):
-            node = self.nodes[i]
-            if self.last_year - node.birth_year + 1 < min_history:
-                continue
-            s = series[i]
-            m = s.max()
-            yield node.category, (s / m if m > 0 else s)
+        profiles = self.citation_series(max_age=max_age).astype(float)
+        peak = profiles.max(axis=1, keepdims=True)
+        np.divide(profiles, peak, out=profiles, where=peak > 0)
+        observed = (self.last_year - self.birth + 1).tolist()
+        codes = self.category.tolist()
+        for i in range(self.n_bootstrap, len(self.paper_ids)):
+            if observed[i] >= min_history:
+                yield CATEGORIES[codes[i]], profiles[i, : min(observed[i], max_age + 1)]
 
     def to_records(self) -> list[PaperRecord]:
-        refs: dict[int, list[str]] = {i: [] for i in range(len(self.nodes))}
-        for citing, cited, _ in self.edges:
-            refs[citing].append(self.nodes[cited].paper_id)
+        refs: list[list[str]] = [[] for _ in self.paper_ids]
+        for citing, cited in self.edges[:, :2].tolist():
+            refs[citing].append(self.paper_ids[cited])
         return [
-            PaperRecord(
-                paper_id=n.paper_id,
-                year=n.birth_year,
-                reference_ids=tuple(refs[i]),
-            )
-            for i, n in enumerate(self.nodes)
+            PaperRecord(paper_id=pid, year=year, reference_ids=tuple(r))
+            for pid, year, r in zip(self.paper_ids, self.birth.tolist(), refs)
         ]
 
 
@@ -567,7 +517,9 @@ def simulate_replica(
     for year in years:
         simulate_step(state, year, inputs, params, rng)
     return ReplicaResult(
-        nodes=state.nodes,
+        paper_ids=state.paper_ids,
+        birth=state.birth,
+        category=state.cat,
         edges=state.edges,
         first_year=inputs.bootstrap.min_year,
         last_year=years[-1] if years else inputs.bootstrap.max_year,

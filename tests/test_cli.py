@@ -195,3 +195,68 @@ def test_simulate_records_bootstrap(tmp_path):
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
     nodes = [json.loads(line) for line in (out / "nodes.jsonl").read_text().splitlines()]
     assert len(nodes) == 12  # 2 bootstrap + 10 simulated
+
+
+def test_malformed_config_json_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"pub_dist": {"1980": 5},')
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+    assert "malformed JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "pub_dist, field",
+    [({"1980": 5, "19x1": 5}, "pub_dist.19x1"), ({"1980": "five"}, "pub_dist.1980"),
+     ({"1980": 2.5}, "pub_dist.1980")],
+)
+def test_non_integer_pub_dist_is_usage_error(tmp_path, capsys, pub_dist, field):
+    path = tmp_path / "g.json"
+    config = json.loads(growth_config(tmp_path).read_text())
+    path.write_text(json.dumps(config | {"pub_dist": pub_dist}))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "s")]) == EXIT_USAGE
+    assert f"error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ({"ref_dist": {"x": 1.0}}, "ref_dist.x"),
+        ({"ref_dist": {"geometric": {"mean": 0.5}}}, "ref_dist.geometric"),
+        ({"replicas": "two"}, "replicas"),
+        ({"rho": {"MonDec": "steep"}}, "rho.MonDec"),
+        ({"tau": {"Nope": 3}}, "tau.Nope"),
+        ({"bootstrap": {"synthetic": {"n": "many"}}}, "bootstrap.synthetic.n"),
+        ({"ref_dist": [[1]]}, "ref_dist[0]"),
+        ({"peak_time_dist": {"PeakLate": [[7, 0.5], [9]]}}, "peak_time_dist.PeakLate[1]"),
+    ],
+)
+def test_bad_growth_config_value_is_usage_error(tmp_path, capsys, override, field):
+    path = tmp_path / "g.json"
+    config = json.loads(growth_config(tmp_path).read_text())
+    path.write_text(json.dumps(config | override))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "s")]) == EXIT_USAGE
+    assert f"error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["id", "year", "category"])
+def test_bootstrap_record_missing_field_is_usage_error(tmp_path, capsys, key):
+    records = [
+        {"id": "b0", "year": 1970, "category": "Oth"},
+        {"id": "b1", "year": 1975, "category": "PeakInit", "references": ["b0"]},
+    ]
+    del records[1][key]
+    config = {"pub_dist": {"1976": 5}, "ref_dist": [[1, 1.0]], "replicas": 1,
+              "bootstrap": {"records": records}}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "s")]) == EXIT_USAGE
+    assert f"error: bootstrap.records[1].{key}: missing" in capsys.readouterr().err
+
+
+def test_analyze_without_authors_writes_nothing(tmp_path, corpus_path):
+    out = tmp_path / "analysis"
+    out.mkdir()
+    assert main(["analyze", str(corpus_path), "--out", str(out)]) == EXIT_MISSING_DATA
+    assert list(out.iterdir()) == []

@@ -1,5 +1,5 @@
-import math
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -7,17 +7,7 @@ import pytest
 from citeprof import growth
 from citeprof.profiles import CATEGORIES, ProfileCategory
 
-from conftest import desk_scale_config
-
-
-def cat_state(category, size, total):
-    return growth.CategoryState(category=category, size=size, total_citations=total)
-
-
-def node(category, k=0, peak_times=None, birth_year=1980):
-    return growth.NodeState(
-        paper_id="n", birth_year=birth_year, category=category, k=k, peak_times=peak_times
-    )
+P = ProfileCategory
 
 
 # ---------------------------------------------------------------------------
@@ -91,88 +81,179 @@ def test_sample_peak_times_defaults_and_custom():
 
 def test_attractiveness_anchors():
     params = growth.GrowthParams()
-    mondec = node(ProfileCategory.MON_DEC, k=3)
-    assert growth.attractiveness(mondec, 0, cat_state(ProfileCategory.MON_DEC, 1, 1), params) == 4.0
+    assert growth.attractiveness(P.MON_DEC, 3, 1.0, 0, params) == 4.0
 
-    init = node(ProfileCategory.PEAK_INIT, k=5, peak_times=4)
-    st = cat_state(ProfileCategory.PEAK_INIT, 1, 2)
-    assert growth.attractiveness(init, 5, st, params) == 7.0  # plateau, t <= T + tau
-    assert growth.attractiveness(init, 6, st, params) == pytest.approx(7 / 4.2)
+    # PeakInit, T = 4, tau = 1, bucket mean 2: plateau while t <= T + tau
+    assert growth.attractiveness(P.PEAK_INIT, 5, 2.0, 5, params, peak_times=4) == 7.0
+    assert growth.attractiveness(P.PEAK_INIT, 5, 2.0, 6, params, 4) == pytest.approx(7 / 4.2)
 
-    mul = node(ProfileCategory.PEAK_MUL, k=2, peak_times=(4, 10))
-    st = cat_state(ProfileCategory.PEAK_MUL, 1, 1)
-    assert growth.attractiveness(mul, 8, st, params) == pytest.approx(0.375)
+    def mul(t):
+        return growth.attractiveness(P.PEAK_MUL, 2, 1.0, t, params, peak_times=(4, 10))
+
+    assert mul(8) == pytest.approx(0.375)
     # the mid boundary (T1+T2)/2 + tau = 10 still belongs to the decay phase
-    assert growth.attractiveness(mul, 10, st, params) == pytest.approx(0.3)
-    assert growth.attractiveness(mul, 11, st, params) == 3.0  # second plateau
-    assert growth.attractiveness(mul, 14, st, params) == pytest.approx(3 / 14)
+    assert mul(10) == pytest.approx(0.3)
+    assert mul(11) == 3.0  # second plateau
+    assert mul(14) == pytest.approx(3 / 14)
 
 
 def test_attractiveness_negative_time_rejected():
     params = growth.GrowthParams()
     with pytest.raises(ValueError):
-        growth.attractiveness(
-            node(ProfileCategory.OTH), -1, cat_state(ProfileCategory.OTH, 1, 0), params
-        )
+        growth.attractiveness(P.OTH, 0, 0.0, -1, params)
 
 
 def test_peaked_attractiveness_non_increasing_past_plateau():
     params = growth.GrowthParams()
-    late = node(ProfileCategory.PEAK_LATE, k=4, peak_times=11)
-    st = cat_state(ProfileCategory.PEAK_LATE, 2, 8)
-    tail = [growth.attractiveness(late, t, st, params) for t in range(15, 40)]
+    tail = [
+        growth.attractiveness(P.PEAK_LATE, 4, 4.0, t, params, peak_times=11)
+        for t in range(15, 40)
+    ]
     assert all(a >= b for a, b in zip(tail, tail[1:]))
 
 
 # ---------------------------------------------------------------------------
 # selection operations
 
+CODES = growth.CATEGORY_CODES
+
+
+def papers(cat, n, prefix, year=1975):
+    return [(f"{prefix}{i}", year, cat) for i in range(n)]
+
+
+def grow_one_year(nodes, n_new, out_degree=0, seed=1):
+    """State after one simulated year (1980) grown from the given seed papers."""
+    inputs = growth.GrowthInputs(
+        pub_dist={1980: n_new},
+        ref_dist=growth.EmpiricalDist.point_mass(out_degree),
+        bootstrap=growth.BootstrapGraph(nodes=tuple(nodes), edges=()),
+    )
+    params = growth.GrowthParams()
+    rng = np.random.default_rng(seed)
+    state = growth.SimulationState(inputs, params, rng)
+    growth.simulate_step(state, 1980, inputs, params, rng)
+    return state, len(nodes)
+
 
 def test_select_category_point_mass():
-    states = [cat_state(c, 100 if c == ProfileCategory.PEAK_INIT else 0, 0) for c in CATEGORIES]
-    rng = np.random.default_rng(1)
-    assert all(
-        growth.select_category_for_new_paper(states, rng) == ProfileCategory.PEAK_INIT
-        for _ in range(20)
-    )
+    state, first = grow_one_year(papers(P.PEAK_INIT, 100, "a"), n_new=20)
+    assert len(state.cat) == first + 20
+    assert (state.cat[first:] == CODES[P.PEAK_INIT]).all()
 
 
 def test_select_category_proportional():
-    states = [
-        cat_state(ProfileCategory.PEAK_INIT, 30, 0),
-        cat_state(ProfileCategory.OTH, 10, 0),
-    ]
-    rng = np.random.default_rng(2)
-    draws = sum(
-        growth.select_category_for_new_paper(states, rng) == ProfileCategory.PEAK_INIT
-        for _ in range(10_000)
-    )
-    assert abs(draws / 10_000 - 0.75) < 0.02
+    nodes = papers(P.PEAK_INIT, 30, "a") + papers(P.OTH, 10, "o")
+    state, first = grow_one_year(nodes, n_new=10_000, seed=2)
+    assert abs(np.mean(state.cat[first:] == CODES[P.PEAK_INIT]) - 0.75) < 0.02
 
 
 def test_select_target_bucket_uniform_fallback():
-    states = [
-        cat_state(ProfileCategory.PEAK_INIT, 5, 0.0),
-        cat_state(ProfileCategory.OTH, 5, 0.0),
-        cat_state(ProfileCategory.MON_DEC, 0, 0.0),  # empty: never selected
-    ]
-    rng = np.random.default_rng(3)
-    seen = {growth.select_target_bucket(states, rng) for _ in range(200)}
-    assert seen == {ProfileCategory.PEAK_INIT, ProfileCategory.OTH}
+    # No citation yet: buckets are drawn uniformly, the empty ones never.
+    nodes = papers(P.PEAK_INIT, 5, "a") + papers(P.OTH, 5, "o")
+    state, first = grow_one_year(nodes, n_new=200, out_degree=1, seed=3)
+    cited = state.edges[:, 1]
+    assert len(cited) == 200
+    assert {CATEGORIES[c] for c in state.cat[cited]} == {P.PEAK_INIT, P.OTH}
 
 
 def test_select_target_paper_weighted():
-    a = growth.NodeState("a", 1980, ProfileCategory.MON_INCR, k=5)
-    b = growth.NodeState("b", 1980, ProfileCategory.MON_INCR, k=1)
-    st = cat_state(ProfileCategory.MON_INCR, 2, 6)
     params = growth.GrowthParams()
-    rng = np.random.default_rng(4)
-    picks = sum(
-        growth.select_target_paper([a, b], 1980, st, params, rng) == "a"
-        for _ in range(10_000)
-    )
+    codes = np.full(2, CODES[P.MON_INCR])
+    zeros = np.zeros(2)
+    weights = growth._selection_weights(np.array([5, 1]), zeros, codes, zeros, zeros, params)
     # pi_a = 5 + 0.3*3 + 0 = 5.9, pi_b = 1.9 -> a with p ~ 0.756
-    assert abs(picks / 10_000 - 5.9 / 7.8) < 0.02
+    assert weights == pytest.approx([5.9 / 7.8, 1.9 / 7.8], rel=1e-12)
+    rng = np.random.default_rng(4)
+    _, cited, _ = growth._draw_references(np.ones(10_000, dtype=np.int64), weights, rng)
+    assert abs(np.mean(cited == 0) - 5.9 / 7.8) < 0.02
+
+
+def two_stage_weights(k, t, codes, t1, t2, params):
+    """Oracle: per-paper probability of the two-stage draw, one paper at a time.
+
+    Stage 1 picks a bucket by its accumulated citations, uniformly over the
+    non-empty buckets when there are none; stage 2 picks a paper of the
+    bucket by attractiveness, uniformly when it sums to 0.
+    """
+    members = {c: [i for i in range(len(k)) if CATEGORIES[codes[i]] == c] for c in CATEGORIES}
+    cites = {c: float(sum(k[i] for i in members[c])) for c in CATEGORIES}
+    total = sum(cites.values())
+    nonempty = [c for c in CATEGORIES if members[c]]
+    weights = [0.0] * len(k)
+    for c in nonempty:
+        p_bucket = cites[c] / total if total > 0 else 1 / len(nonempty)
+        mu = cites[c] / len(members[c])
+        pis = []
+        for i in members[c]:
+            peaks = (t1[i], t2[i]) if c == P.PEAK_MUL else t1[i]
+            pis.append(growth.attractiveness(c, k[i], mu, t[i], params, peaks))
+        pi_total = sum(pis)
+        for i, pi in zip(members[c], pis):
+            weights[i] = p_bucket * (pi / pi_total if pi_total > 0 else 1 / len(pis))
+    return np.array(weights)
+
+
+def snapshot(rng, counts, cited=True):
+    """Hand-made snapshot: ``counts[c]`` papers per category, random ages and peaks."""
+    codes = np.repeat(np.arange(len(CATEGORIES)), [counts.get(c, 0) for c in CATEGORIES])
+    n = len(codes)
+    k = rng.integers(0, 30, size=n) if cited else np.zeros(n, dtype=int)
+    t = rng.integers(1, 25, size=n).astype(float)
+    t1 = rng.integers(2, 7, size=n).astype(float)
+    t2 = t1 + rng.integers(1, 10, size=n)
+    return k, t, codes, t1, t2
+
+
+def test_selection_weights_match_two_stage_oracle():
+    rng = np.random.default_rng(12)
+    default = growth.GrowthParams()
+    all_six = {c: 8 for c in CATEGORIES}
+    cases = {}
+    cases["all six buckets"] = (snapshot(rng, all_six), default)
+    k, t, codes, t1, t2 = snapshot(rng, all_six)
+    k[codes == CODES[P.MON_INCR]] = 0
+    cases["a non-empty bucket without citations"] = ((k, t, codes, t1, t2), default)
+    # exp(-800 t) underflows to 0: MonDec's attractiveness sums to 0 although
+    # the bucket is cited, so its papers are drawn uniformly.
+    steep = growth.GrowthParams(rho={**growth.DEFAULT_RHO, P.MON_DEC: 800.0})
+    cases["a bucket whose attractiveness sums to 0"] = (snapshot(rng, all_six), steep)
+    sparse = {P.PEAK_INIT: 4, P.MON_DEC: 3, P.OTH: 5}
+    cases["no citation yet"] = (snapshot(rng, sparse, cited=False), default)
+
+    got = {}
+    for name, ((k, t, codes, t1, t2), params) in cases.items():
+        got[name] = growth._selection_weights(k, t, codes, t1, t2, params)
+        want = two_stage_weights(k, t, codes, t1, t2, params)
+        assert np.allclose(got[name], want, rtol=1e-12, atol=0), name
+        assert np.array_equal(got[name] > 0, want > 0), name
+        assert got[name].sum() == pytest.approx(1.0, rel=1e-12), name
+
+    # Each case takes the path it is named for.
+    def bucket(name, cat):
+        return got[name][cases[name][0][2] == CODES[cat]]
+
+    assert (bucket("a non-empty bucket without citations", P.MON_INCR) == 0).all()
+    mondec = bucket("a bucket whose attractiveness sums to 0", P.MON_DEC)
+    assert mondec[0] > 0 and np.ptp(mondec) == 0
+    for c, n in sparse.items():
+        assert bucket("no citation yet", c) == pytest.approx(1 / len(sparse) / n, rel=1e-12)
+
+
+def test_draw_references_distinct_and_capped():
+    # Three reachable papers: 1, 3 and 6.
+    weights = np.array([0, 2, 0, 5, 0, 0, 3, 0, 0, 0])
+    out_degrees = np.array([2, 5, 3, 0, 1, 3])
+    citing, cited, draws = growth._draw_references(out_degrees, weights, np.random.default_rng(6))
+    pairs = list(zip(citing.tolist(), cited.tolist()))
+    assert pairs == sorted(set(pairs))  # no repeat, ordered by (citing, cited)
+    assert set(cited.tolist()) <= {1, 3, 6}
+    assert np.bincount(citing, minlength=6).tolist() == [2, 3, 3, 0, 1, 3]
+    # More references than reachable papers: truncated after exactly the cap.
+    assert draws[1] == growth.DUPLICATE_REDRAW_FACTOR * 5
+    assert draws[3] == 0
+    assert (draws[[0, 2, 4, 5]] >= out_degrees[[0, 2, 4, 5]]).all()
+    assert (draws <= growth.DUPLICATE_REDRAW_FACTOR * np.maximum(out_degrees, 1)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +305,7 @@ def small_inputs(replicas=3, seed=11):
 def test_simulate_step_edge_budget():
     inputs, params = small_inputs(replicas=1)
     result = growth.simulate(inputs, params).replicas[0]
-    sim_edges = [e for e in result.edges if e[2] >= 1976]
+    sim_edges = result.edges[result.edges[:, 2] >= 1976]
     assert len(sim_edges) <= sum(result.sampled_out_degrees)
     # nearly all sampled references should find distinct targets
     assert len(sim_edges) > 0.95 * sum(result.sampled_out_degrees)
@@ -233,9 +314,19 @@ def test_simulate_step_edge_budget():
 def test_new_papers_never_cited_in_insertion_year():
     inputs, params = small_inputs(replicas=1)
     replica = growth.simulate(inputs, params).replicas[0]
-    for citing, cited, year in replica.edges:
-        if year >= 1976:  # simulated era
-            assert replica.nodes[cited].birth_year < year
+    sim_edges = replica.edges[replica.edges[:, 2] >= 1976]  # simulated era
+    assert len(sim_edges) > 0
+    assert (replica.birth[sim_edges[:, 1]] < sim_edges[:, 2]).all()
+
+
+def test_simulated_references_distinct_and_ordered():
+    inputs, params = small_inputs(replicas=1)
+    replica = growth.simulate(inputs, params).replicas[0]
+    n_boot = len(inputs.bootstrap.edges)
+    sim_edges = replica.edges[n_boot:]
+    keys = sim_edges[:, 0] * len(replica.paper_ids) + sim_edges[:, 1]
+    assert (np.diff(keys) > 0).all()  # ordered by (citing, cited), no pair twice
+    assert (replica.birth[sim_edges[:, 0]] == sim_edges[:, 2]).all()
 
 
 def test_missing_pub_year_inserts_nothing():
@@ -246,25 +337,36 @@ def test_missing_pub_year_inserts_nothing():
         bootstrap=inputs.bootstrap,
     )
     replica = growth.simulate(sparse, params).replicas[0]
-    assert sum(1 for n in replica.nodes if n.birth_year == 1977) == 0
-    assert sum(1 for n in replica.nodes if n.birth_year == 1978) == 5
+    assert np.sum(replica.birth == 1977) == 0
+    assert np.sum(replica.birth == 1978) == 5
 
 
 def test_category_fraction_martingale():
-    inputs, params = small_inputs(replicas=2)
-    boot_counts = {c: 0 for c in CATEGORIES}
-    for _, _, cat in inputs.bootstrap.nodes:
-        boot_counts[cat] += 1
-    n_boot = len(inputs.bootstrap.nodes)
+    # A new paper joins a bucket with probability proportional to its size
+    # (a Polya urn), so each category's expected fraction stays at the
+    # bootstrap's. One replica's fraction drifts by about one standard
+    # deviation of the urn (~0.05), so the mean change over R replicas is
+    # judged in standard errors, with z fixed by a two-sided 1 % family-wise
+    # rate over the six categories.
+    replicas = 200
+    inputs, params = small_inputs(replicas=replicas)
+    codes = [CODES[c] for _, _, c in inputs.bootstrap.nodes]
+    before = np.bincount(codes, minlength=len(CATEGORIES)) / len(codes)
     result = growth.simulate(inputs, params)
-    for replica in result.replicas:
-        totals = {c: 0 for c in CATEGORIES}
-        for n in replica.nodes:
-            totals[n.category] += 1
-        for c in CATEGORIES:
-            before = boot_counts[c] / n_boot
-            after = totals[c] / len(replica.nodes)
-            assert abs(after - before) <= 0.05
+    after = np.array(
+        [np.bincount(r.category, minlength=len(CATEGORIES)) for r in result.replicas]
+    ) / len(result.replicas[0].category)
+    assert before.min() > 0  # every category can move, so no standard error is 0
+    z = NormalDist().inv_cdf(1 - 0.01 / (2 * len(CATEGORIES)))  # 3.14
+
+    def worst_z(baseline):
+        change = after - baseline
+        se = change.std(axis=0, ddof=1) / np.sqrt(replicas)
+        return np.max(np.abs(change.mean(axis=0)) / se)
+
+    assert worst_z(before) <= z, worst_z(before)
+    # The check can fail: uniform fractions are rejected.
+    assert worst_z(np.full(len(CATEGORIES), 1 / len(CATEGORIES))) > z
 
 
 def test_simulate_deterministic_and_thread_independent():
@@ -272,8 +374,9 @@ def test_simulate_deterministic_and_thread_independent():
     serial = growth.simulate(inputs, params, threads=1)
     parallel = growth.simulate(inputs, params, threads=4)
     for a, b in zip(serial.replicas, parallel.replicas):
-        assert a.edges == b.edges
-        assert [n.paper_id for n in a.nodes] == [n.paper_id for n in b.nodes]
+        assert np.array_equal(a.edges, b.edges)
+        assert np.array_equal(a.category, b.category)
+        assert a.paper_ids == b.paper_ids
     for c in CATEGORIES:
         assert np.array_equal(
             serial.mean_profiles[c], parallel.mean_profiles[c], equal_nan=True
@@ -330,6 +433,6 @@ def test_replica_to_records_roundtrip():
     inputs, params = small_inputs(replicas=1)
     replica = growth.simulate(inputs, params).replicas[0]
     records = replica.to_records()
-    assert len(records) == len(replica.nodes)
+    assert len(records) == len(replica.paper_ids)
     n_refs = sum(len(r.reference_ids) for r in records)
     assert n_refs == len(replica.edges)
