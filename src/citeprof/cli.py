@@ -40,6 +40,7 @@ ANALYSES = ("buckets", "venue", "selfcite", "stability", "kshell", "peakstats", 
 
 # Rows converted to Python objects at a time when writing simulation output.
 WRITE_CHUNK = 4096
+CATEGORY_JSON = [json.dumps(c.value) for c in CATEGORIES]  # indexed by category code
 
 
 class UsageError(Exception):
@@ -320,25 +321,40 @@ def load_growth_config(
             rng=np.random.default_rng(_config_int(spec.get("seed", seed), f"{path}.seed")),
         )
     elif "records" in raw_boot:
+        records = raw_boot["records"]
+        if not isinstance(records, list):
+            raise growth.GrowthConfigError("bootstrap.records", "expected a list of objects")
         nodes = []
         edges = []
         ids = set()
-        for i, rec in enumerate(raw_boot["records"]):
+        for i, rec in enumerate(records):
             path = f"bootstrap.records[{i}]"
             if not isinstance(rec, dict):
                 raise growth.GrowthConfigError(path, "expected an object")
             for key in ("id", "year", "category"):
                 if key not in rec:
                     raise growth.GrowthConfigError(f"{path}.{key}", "missing")
+            pid = rec["id"]
+            if not isinstance(pid, str) or not pid:
+                raise growth.GrowthConfigError(
+                    f"{path}.id", f"expected a non-empty string, got {pid!r}"
+                )
+            if growth.is_generated_id(pid):
+                raise growth.GrowthConfigError(
+                    f"{path}.id", f"{pid!r} has the form s<year>_<index> of a generated paper"
+                )
+            refs = rec.get("references", [])
+            if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
+                raise growth.GrowthConfigError(f"{path}.references", "expected a list of ids")
             nodes.append(
                 (
-                    rec["id"],
+                    pid,
                     _config_int(rec["year"], f"{path}.year"),
                     _config_category(rec["category"], f"{path}.category"),
                 )
             )
-            ids.add(rec["id"])
-        for rec in raw_boot["records"]:
+            ids.add(pid)
+        for rec in records:
             for ref in rec.get("references", []):
                 if ref in ids:
                     edges.append((rec["id"], ref))
@@ -352,28 +368,33 @@ def load_growth_config(
     return inputs, params
 
 
-def _simulation_series_by_category(result: growth.SimulationResult):
-    """Pooled normalized profiles of the generated papers across replicas, per category.
+def _write_replica(nodes_fh, edges_fh, ri: int, replica: growth.ReplicaResult) -> None:
+    """Append one replica's nodes.jsonl and edges.jsonl lines.
 
-    The same papers as ``result.mean_profiles``: bootstrap papers are left out.
+    Each line is what json.dumps(row, sort_keys=True) gives, formatted
+    directly: keys in sorted order, ids (always strings) encoded once.
+    Arrays become Python ints WRITE_CHUNK rows at a time, so a replica's
+    lines never exist all at once.
     """
-    pooled: dict[ProfileCategory, list[np.ndarray]] = {c: [] for c in CATEGORIES}
-    for replica in result.replicas:
-        for cat, s in replica.generated_profiles(result.max_age, result.min_history):
-            pooled[cat].append(s)
-    return pooled
-
-
-def _chunked_rows(*columns):
-    """Rows of equal-length columns (lists or arrays) as Python values.
-
-    Arrays are converted WRITE_CHUNK rows at a time, so a replica's edges
-    never exist as Python objects all at once.
-    """
-    for start in range(0, len(columns[0]), WRITE_CHUNK):
+    ids = [json.dumps(pid) for pid in replica.paper_ids]
+    in_degrees = replica.in_degrees()
+    for start in range(0, len(ids), WRITE_CHUNK):
         chunk = slice(start, start + WRITE_CHUNK)
-        yield from zip(
-            *(c[chunk].tolist() if isinstance(c, np.ndarray) else c[chunk] for c in columns)
+        nodes_fh.writelines(
+            f'{{"category": {CATEGORY_JSON[code]}, "id": {pid}, "in_degree": {k}, '
+            f'"replica": {ri}, "year": {year}}}\n'
+            for pid, code, k, year in zip(
+                ids[chunk],
+                replica.category[chunk].tolist(),
+                in_degrees[chunk].tolist(),
+                replica.birth[chunk].tolist(),
+            )
+        )
+    for start in range(0, len(replica.edges), WRITE_CHUNK):
+        citing, cited, year = replica.edges[start : start + WRITE_CHUNK].T.tolist()
+        edges_fh.writelines(
+            f'{{"cited": {ids[v]}, "citing": {ids[u]}, "replica": {ri}, "year": {y}}}\n'
+            for u, v, y in zip(citing, cited, year)
         )
 
 
@@ -384,39 +405,10 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    labels = [c.value for c in CATEGORIES]
-    with open(out / "nodes.jsonl", "w") as fh:
+    with open(out / "nodes.jsonl", "w") as nodes_fh, open(out / "edges.jsonl", "w") as edges_fh:
         for ri, replica in enumerate(result.replicas):
-            for pid, year, code, k in _chunked_rows(
-                replica.paper_ids, replica.birth, replica.category, replica.in_degrees()
-            ):
-                fh.write(
-                    json.dumps(
-                        {
-                            "replica": ri,
-                            "id": pid,
-                            "year": year,
-                            "category": labels[code],
-                            "in_degree": k,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-    with open(out / "edges.jsonl", "w") as fh:
-        for ri, replica in enumerate(result.replicas):
-            ids = replica.paper_ids
-            for citing, cited, year in _chunked_rows(*replica.edges.T):
-                fh.write(
-                    json.dumps(
-                        {"replica": ri, "citing": ids[citing], "cited": ids[cited], "year": year},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-    belts = report.belts_by_category(
-        _simulation_series_by_category(result), normalized=True
-    )
+            _write_replica(nodes_fh, edges_fh, ri, replica)
+    belts = report.belts_by_category(result.profiles_by_category, normalized=True)
     _write_csv(out / "profiles.csv", report.belt_csv_rows(belts))
     resolved = dict(config)
     resolved["seed"] = params.rng_seed

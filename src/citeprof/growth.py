@@ -27,7 +27,7 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -443,6 +443,15 @@ def simulate_step(
     return state
 
 
+def is_generated_id(pid: str) -> bool:
+    """Whether ``pid`` has the form ``s{year}_{index:05d}`` that simulate_step gives new papers."""
+    head, sep, index = pid.partition("_")
+    try:
+        return sep == "_" and head[:1] == "s" and pid == f"s{int(head[1:])}_{int(index):05d}"
+    except ValueError:
+        return False
+
+
 @dataclass
 class ReplicaResult:
     """One simulated network with generation-time labels, indexed by paper.
@@ -478,24 +487,23 @@ class ReplicaResult:
         )
         return counts.reshape(len(self.paper_ids), width)
 
-    def generated_profiles(
-        self, max_age: int, min_history: int
-    ) -> Iterator[tuple[ProfileCategory, np.ndarray]]:
-        """(category, max-normalized counts by age) per model-generated paper.
+    def generated_profiles(self, max_age: int, min_history: int) -> tuple[np.ndarray, np.ndarray]:
+        """(category codes, max-normalized counts by age) of the model-generated papers.
 
-        Only papers with at least ``min_history`` observed years count, and
-        only their observed ages up to ``max_age`` are given. Bootstrap
-        papers are skipped: their early citations come from the seed
-        network, which has neither aging nor preferential attachment.
+        Only papers with at least ``min_history`` observed years count. The
+        profiles are one row per paper over ages 0..max_age, NaN past the
+        paper's last observed age. Bootstrap papers are skipped: their
+        early citations come from the seed network, which has neither
+        aging nor preferential attachment.
         """
-        profiles = self.citation_series(max_age=max_age).astype(float)
+        observed = self.last_year - self.birth + 1
+        keep = np.flatnonzero(observed >= min_history)
+        keep = keep[keep >= self.n_bootstrap]
+        profiles = self.citation_series(max_age=max_age)[keep].astype(float)
         peak = profiles.max(axis=1, keepdims=True)
         np.divide(profiles, peak, out=profiles, where=peak > 0)
-        observed = (self.last_year - self.birth + 1).tolist()
-        codes = self.category.tolist()
-        for i in range(self.n_bootstrap, len(self.paper_ids)):
-            if observed[i] >= min_history:
-                yield CATEGORIES[codes[i]], profiles[i, : min(observed[i], max_age + 1)]
+        profiles[np.arange(max_age + 1) >= observed[keep, None]] = np.nan
+        return self.category[keep], profiles
 
     def to_records(self) -> list[PaperRecord]:
         refs: list[list[str]] = [[] for _ in self.paper_ids]
@@ -528,19 +536,9 @@ def simulate_replica(
     )
 
 
-def _replica_profile(
-    replica: ReplicaResult, max_age: int, min_history: int
-) -> dict[ProfileCategory, np.ndarray]:
-    """Per-age mean of the generated papers' normalized profiles, one row per category."""
-    sums = {c: np.zeros(max_age + 1) for c in CATEGORIES}
-    counts = {c: np.zeros(max_age + 1) for c in CATEGORIES}
-    for cat, s in replica.generated_profiles(max_age, min_history):
-        sums[cat][: len(s)] += s
-        counts[cat][: len(s)] += 1
-    return {
-        c: np.where(counts[c] > 0, sums[c] / np.maximum(counts[c], 1), np.nan)
-        for c in CATEGORIES
-    }
+def _replica_profile(codes: np.ndarray, profiles: np.ndarray) -> dict[ProfileCategory, np.ndarray]:
+    """Per-age mean of one replica's ``generated_profiles``, one row per category."""
+    return {c: _nanmean_rows(profiles[codes == i]) for i, c in enumerate(CATEGORIES)}
 
 
 def _nanmean_rows(stack: np.ndarray) -> np.ndarray:
@@ -560,6 +558,8 @@ def _run_replica(args) -> ReplicaResult:
 class SimulationResult:
     replicas: list[ReplicaResult]
     mean_profiles: dict[ProfileCategory, np.ndarray]  # generated papers only
+    # Every replica's generated_profiles rows, pooled per category in replica order.
+    profiles_by_category: dict[ProfileCategory, np.ndarray]
     max_age: int
     min_history: int
 
@@ -584,16 +584,19 @@ def simulate(
     else:
         replicas = [_run_replica(j) for j in jobs]
 
-    per_replica = [
-        _replica_profile(r, max_age=profile_max_age, min_history=profile_min_history)
-        for r in replicas
-    ]
+    generated = [r.generated_profiles(profile_max_age, profile_min_history) for r in replicas]
+    per_replica = [_replica_profile(codes, profiles) for codes, profiles in generated]
     mean_profiles = {
         c: _nanmean_rows(np.vstack([p[c] for p in per_replica])) for c in CATEGORIES
+    }
+    profiles_by_category = {
+        c: np.vstack([profiles[codes == i] for codes, profiles in generated])
+        for i, c in enumerate(CATEGORIES)
     }
     return SimulationResult(
         replicas=replicas,
         mean_profiles=mean_profiles,
+        profiles_by_category=profiles_by_category,
         max_age=profile_max_age,
         min_history=profile_min_history,
     )
@@ -636,13 +639,15 @@ def synthetic_bootstrap(
         year = start_year + (i * n_years) // n
         years.append(year)
         nodes.append((f"b{i:05d}", year, assignment[i]))
+    # Years never decrease with the index, so the papers earlier than paper
+    # i are papers 0..n_earlier[i] - 1.
+    n_earlier = np.searchsorted(years, years, side="left").tolist()
     edges: list[tuple[str, str]] = []
     for i in range(n):
-        earlier = [j for j in range(n) if years[j] < years[i]]
-        if not earlier:
+        if not n_earlier[i]:
             continue
-        n_refs = min(int(rng.poisson(refs_mean)), len(earlier))
-        for j in rng.choice(len(earlier), size=n_refs, replace=False):
+        n_refs = min(int(rng.poisson(refs_mean)), n_earlier[i])
+        for j in rng.choice(n_earlier[i], size=n_refs, replace=False):
             edges.append((nodes[i][0], nodes[int(j)][0]))
     return BootstrapGraph(nodes=tuple(nodes), edges=tuple(edges))
 

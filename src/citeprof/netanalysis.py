@@ -373,8 +373,13 @@ def core_periphery_evolution(
     Labels are fixed by classifying the induced subgraph at the earliest
     year (``label_year``); each later snapshot is the induced subgraph
     of papers published at or before that year. Returns
-    (year, broad shell) -> category fractions summing to 1.
+    (year, broad shell) -> category fractions summing to 1. A snapshot
+    year before ``label_year`` is a ValueError: its snapshot would lack
+    labeled papers.
     """
+    early = [year for year in years if year < label_year]
+    if early:
+        raise ValueError(f"snapshot years {sorted(early)} precede label_year {label_year}")
     labels = classify_corpus(graph.subgraph_upto(label_year)).labels
     out: dict[tuple[int, int], dict[ProfileCategory, float]] = {}
     for year in sorted(years):
@@ -382,7 +387,6 @@ def core_periphery_evolution(
         assignment = kshell_decompose(snapshot)
         per_shell: dict[int, Counter] = {}
         for pid, cat in labels.items():
-            assert pid in snapshot, "labeled paper missing from later snapshot"
             band = assignment.broad_shells.get(pid)
             if band is None:
                 continue

@@ -43,7 +43,7 @@ class CitationBelt:
 
 def citation_belt(
     category: ProfileCategory,
-    series_set: Sequence[Sequence[float]],
+    series_set: Sequence[Sequence[float]] | np.ndarray,
     normalized: bool = False,
     lower: float = 0.10,
     upper: float = 0.90,
@@ -51,33 +51,40 @@ def citation_belt(
 ) -> CitationBelt:
     """Belt lines for one category.
 
-    Series may differ in length; an age is kept while at least
-    ``min_papers_per_age`` series still cover it (tail truncation).
+    ``series_set`` holds one series per paper. Series may differ in
+    length; normalized ones may also come as a float matrix with NaN past
+    each row's end. An age is kept while at least ``min_papers_per_age``
+    series still cover it (tail truncation).
     """
-    if not series_set:
-        return CitationBelt(category, (), (), (), (), 0, True)
-    rows = [
-        np.asarray(s, dtype=float) if normalized else normalize(s) for s in series_set
-    ]
-    max_age = max(len(r) for r in rows) - 1
-    ages, q1s, means, q3s = [], [], [], []
-    for age in range(max_age + 1):
-        column = np.array([r[age] for r in rows if len(r) > age])
-        if len(column) < min_papers_per_age and age > 0:
-            break
-        column.sort()
-        ages.append(age)
+    if normalized and isinstance(series_set, np.ndarray):
+        matrix = series_set
+    else:
+        rows = [np.asarray(s, dtype=float) if normalized else normalize(s) for s in series_set]
+        matrix = np.full((len(rows), max(map(len, rows), default=0)), np.nan)
+        for i, row in enumerate(rows):
+            matrix[i, : len(row)] = row
+    covered = np.count_nonzero(~np.isnan(matrix), axis=0)
+    enough = covered >= max(min_papers_per_age, 1)
+    enough[:1] = covered[:1] > 0  # age 0 is kept whenever a series covers it
+    n_ages = len(enough) if enough.all() else int(enough.argmin())
+    # One contiguous row per age, sorted with NaN last, so each age's
+    # covered values are the prefix of its row.
+    columns = np.ascontiguousarray(matrix[:, :n_ages].T)
+    columns.sort(axis=1)
+    q1s, means, q3s = [], [], []
+    for row, n in zip(columns, covered[:n_ages].tolist()):
+        column = row[:n]
         q1s.append(nearest_rank(column, lower))
         means.append(float(column.mean()))
         q3s.append(nearest_rank(column, upper))
     return CitationBelt(
         category=category,
-        ages=tuple(ages),
+        ages=tuple(range(n_ages)),
         q1=tuple(q1s),
         mean=tuple(means),
         q3=tuple(q3s),
-        n_papers=len(rows),
-        low_sample=len(rows) < LOW_SAMPLE_THRESHOLD,
+        n_papers=len(matrix),
+        low_sample=len(matrix) < LOW_SAMPLE_THRESHOLD,
     )
 
 

@@ -221,7 +221,7 @@ def replica_profiles(desk_simulation):
     """Per category: one row per replica, from the library's own aggregation."""
     sim = desk_simulation
     per_replica = [
-        growth._replica_profile(r, max_age=sim.max_age, min_history=sim.min_history)
+        growth._replica_profile(*r.generated_profiles(sim.max_age, sim.min_history))
         for r in sim.replicas
     ]
     return {c: np.vstack([p[c] for p in per_replica]) for c in CATEGORIES}

@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from citeprof.cli import EXIT_MISSING_DATA, EXIT_OK, EXIT_USAGE, main
+from citeprof import growth
+from citeprof.cli import EXIT_MISSING_DATA, EXIT_OK, EXIT_USAGE, load_growth_config, main
 from citeprof.ingest import PaperRecord, write_jsonl
-from citeprof.profiles import ProfileCategory
+from citeprof.profiles import CATEGORIES, ProfileCategory
 
 from conftest import FIXTURE_SERIES, corpus_from_series
 
@@ -230,6 +231,7 @@ def test_non_integer_pub_dist_is_usage_error(tmp_path, capsys, pub_dist, field):
         ({"bootstrap": {"synthetic": {"n": "many"}}}, "bootstrap.synthetic.n"),
         ({"ref_dist": [[1]]}, "ref_dist[0]"),
         ({"peak_time_dist": {"PeakLate": [[7, 0.5], [9]]}}, "peak_time_dist.PeakLate[1]"),
+        ({"bootstrap": {"records": 5}}, "bootstrap.records"),
     ],
 )
 def test_bad_growth_config_value_is_usage_error(tmp_path, capsys, override, field):
@@ -253,6 +255,73 @@ def test_bootstrap_record_missing_field_is_usage_error(tmp_path, capsys, key):
     path.write_text(json.dumps(config))
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "s")]) == EXIT_USAGE
     assert f"error: bootstrap.records[1].{key}: missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"id": "s1972_00000"}, "id"),  # the id of the first paper generated in 1972
+        ({"id": ["b1"]}, "id"),
+        ({"id": ""}, "id"),
+        ({"references": "b0"}, "references"),
+        ({"references": [["b0"]]}, "references"),
+    ],
+)
+def test_bad_bootstrap_record_is_usage_error(tmp_path, capsys, change, field):
+    records = [
+        {"id": "b0", "year": 1970, "category": "Oth"},
+        {"id": "b1", "year": 1971, "category": "PeakInit", "references": ["b0"]} | change,
+    ]
+    config = {"pub_dist": {"1972": 3}, "ref_dist": [[1, 1.0]], "replicas": 1,
+              "bootstrap": {"records": records}}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "s"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+    assert f"error: bootstrap.records[1].{field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def json_lines_oracle(result):
+    """nodes.jsonl and edges.jsonl text written row by row with json.dumps."""
+    nodes, edges = [], []
+    for ri, replica in enumerate(result.replicas):
+        ids = replica.paper_ids
+        for pid, year, code, k in zip(
+            ids, replica.birth.tolist(), replica.category.tolist(), replica.in_degrees().tolist()
+        ):
+            row = {"replica": ri, "id": pid, "year": year, "category": CATEGORIES[code].value,
+                   "in_degree": k}
+            nodes.append(json.dumps(row, sort_keys=True) + "\n")
+        for citing, cited, year in replica.edges.tolist():
+            row = {"replica": ri, "citing": ids[citing], "cited": ids[cited], "year": year}
+            edges.append(json.dumps(row, sort_keys=True) + "\n")
+    return "".join(nodes), "".join(edges)
+
+
+def test_simulate_lines_match_json_dumps(tmp_path):
+    ids = ['q"uote', "back\\slash", "caf\u00e9", "bell\x07", "tab\tline\n", "plain"]
+    records = [
+        {"id": pid, "year": 1970 + i, "category": "PeakInit", "references": ids[:i]}
+        for i, pid in enumerate(ids)
+    ]
+    config = {"pub_dist": {str(year): 8 for year in range(1976, 1980)},
+              "ref_dist": {"geometric": {"mean": 3}}, "replicas": 2, "seed": 5,
+              "bootstrap": {"records": records}}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    nodes = (out / "nodes.jsonl").read_text()
+    edges = (out / "edges.jsonl").read_text()
+    for line in nodes.splitlines() + edges.splitlines():
+        assert line == json.dumps(json.loads(line), sort_keys=True)
+    written = {json.loads(line)["id"] for line in nodes.splitlines()}
+    assert set(ids) <= written
+    cited = {json.loads(line)["cited"] for line in edges.splitlines()}
+    assert set(ids[:-1]) <= cited
+    inputs, params = load_growth_config(config)
+    assert (nodes, edges) == json_lines_oracle(growth.simulate(inputs, params))
 
 
 def test_analyze_without_authors_writes_nothing(tmp_path, corpus_path):

@@ -387,7 +387,7 @@ def test_profile_aggregation_is_replica_permutation_invariant():
     inputs, params = small_inputs(replicas=3)
     result = growth.simulate(inputs, params)
     per_replica = [
-        growth._replica_profile(r, max_age=20, min_history=10) for r in result.replicas
+        growth._replica_profile(*r.generated_profiles(20, 10)) for r in result.replicas
     ]
     for c in CATEGORIES:
         stack = np.vstack([p[c] for p in per_replica])

@@ -164,6 +164,21 @@ def test_broad_shell_bands():
         netanalysis.broad_shell(0, 5)
 
 
+def test_core_periphery_evolution_rejects_snapshot_before_label_year(fixture_graph, monkeypatch):
+    label_year = 1990  # the fixture corpus spans 1980-1999
+    out = netanalysis.core_periphery_evolution(fixture_graph, label_year, [1999, label_year])
+    assert {year for year, _ in out} == {label_year, 1999}
+    for fractions in out.values():
+        assert sum(fractions.values()) == pytest.approx(1.0)
+
+    def classify_corpus(*args, **kwargs):
+        raise AssertionError("classified before the snapshot years were checked")
+
+    monkeypatch.setattr(netanalysis, "classify_corpus", classify_corpus)
+    with pytest.raises(ValueError, match=r"\[1989\] precede label_year 1990"):
+        netanalysis.core_periphery_evolution(fixture_graph, label_year, [1999, 1989])
+
+
 # ---------------------------------------------------------------------------
 # stability flows
 

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from citeprof import report
-from citeprof.profiles import ProfileCategory
+from citeprof.profiles import ProfileCategory, normalize
 
 PI = ProfileCategory.PEAK_INIT
 
@@ -38,6 +41,57 @@ def test_empty_belt():
     belt = report.citation_belt(PI, [])
     assert belt.ages == ()
     assert belt.low_sample is True
+
+
+def belt_oracle(series_set, normalized, lower, upper, min_papers_per_age):
+    """(ages, q1, mean, q3) from one sorted column per age, built series by series."""
+    rows = [np.asarray(s, dtype=float) if normalized else normalize(s) for s in series_set]
+    ages, q1s, means, q3s = [], [], [], []
+    for age in range(max((len(r) for r in rows), default=0)):
+        column = np.array([r[age] for r in rows if len(r) > age])
+        if len(column) < min_papers_per_age and age > 0:
+            break
+        column.sort()
+        ages.append(age)
+        q1s.append(float(column[max(1, math.ceil(lower * len(column))) - 1]))
+        means.append(float(column.mean()))
+        q3s.append(float(column[max(1, math.ceil(upper * len(column))) - 1]))
+    return tuple(ages), tuple(q1s), tuple(means), tuple(q3s)
+
+
+ragged_series = st.lists(
+    st.lists(st.integers(0, 12) | st.floats(0.0, 50.0, allow_subnormal=False), max_size=25),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    series_set=ragged_series,
+    normalized=st.booleans(),
+    bounds=st.sampled_from([(0.10, 0.90), (0.25, 0.75), (0.0, 1.0), (0.5, 0.5)]),
+    min_papers_per_age=st.integers(1, 8),
+)
+# Ages 3 and 4 are covered by 4 series, fewer than 5: the belt stops at age 2.
+@example([[0, 1, 2]] * 5 + [[0, 1, 2, 3, 4]] * 4, True, (0.10, 0.90), 5)
+def test_citation_belt_matches_per_age_oracle(series_set, normalized, bounds, min_papers_per_age):
+    lower, upper = bounds
+    belt = report.citation_belt(
+        PI, series_set, normalized, lower, upper, min_papers_per_age=min_papers_per_age
+    )
+    expected = belt_oracle(series_set, normalized, lower, upper, min_papers_per_age)
+    assert (belt.ages, belt.q1, belt.mean, belt.q3) == expected
+    assert belt.n_papers == len(series_set)
+    # The NaN-padded matrix simulate passes gives the same belt.
+    rows = [np.asarray(s, dtype=float) if normalized else normalize(s) for s in series_set]
+    matrix = np.full((len(rows), 26), np.nan)
+    for i, row in enumerate(rows):
+        matrix[i, : len(row)] = row
+    padded = report.citation_belt(
+        PI, matrix, normalized=True, lower=lower, upper=upper,
+        min_papers_per_age=min_papers_per_age,
+    )
+    assert padded == belt
 
 
 def test_belt_csv_rows():
